@@ -19,7 +19,7 @@ from .expr import (
     parse,
 )
 from .losses import (
-    Band,
+    Entry,
     FuzzyElement,
     FuzzyLoss,
     IntervalLoss,
@@ -27,15 +27,12 @@ from .losses import (
     LossModelError,
     NormalBandLoss,
     OrderingMode,
-    OrderingReport,
     OrderingViolation,
     PointLoss,
-    Scalar,
     UniformLoss,
-    bounds_at,
-    central_at,
     cut_set,
-    evaluate_loss,
+    evaluate_entry,
+    evaluate_matrix,
     validate_ordering,
 )
 from .risk import RiskTriple, expected_risks, min_risk_region
@@ -65,21 +62,14 @@ from .thresholds import (
     OrderingViolationError,
     PointPair,
     ThresholdError,
-    fuzzy_threshold_bounds,
-    fuzzy_thresholds,
-    interval_threshold_bounds,
-    interval_thresholds,
-    normal_band_extremes,
-    normal_band_thresholds,
-    normal_special_thresholds,
+    band_extremes,
+    band_thresholds,
     point_thresholds,
-    uniform_thresholds,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Band",
     "BandPair",
     "BinOp",
     "ConfigError",
@@ -87,6 +77,7 @@ __all__ = [
     "DatasetError",
     "DegenerateMatrixError",
     "DegenerateThresholdsError",
+    "Entry",
     "ExprEvalError",
     "ExprSyntaxError",
     "FuzzyElement",
@@ -98,7 +89,6 @@ __all__ = [
     "Neg",
     "NormalBandLoss",
     "OrderingMode",
-    "OrderingReport",
     "OrderingViolation",
     "OrderingViolationError",
     "Partition",
@@ -108,7 +98,6 @@ __all__ = [
     "RegionAssignment",
     "RiskTriple",
     "RunConfig",
-    "Scalar",
     "StrictSweepError",
     "SweepRow",
     "ThresholdError",
@@ -116,29 +105,22 @@ __all__ = [
     "TimeGrid",
     "UniformLoss",
     "Var",
-    "bounds_at",
-    "central_at",
+    "band_extremes",
+    "band_thresholds",
     "check_ordering",
     "classify",
     "conditional_probability",
     "cut_set",
     "emit_outputs",
-    "evaluate_loss",
+    "evaluate_entry",
+    "evaluate_matrix",
     "expected_risks",
-    "fuzzy_threshold_bounds",
-    "fuzzy_thresholds",
-    "interval_threshold_bounds",
-    "interval_thresholds",
     "load_dataset",
     "min_risk_region",
-    "normal_band_extremes",
-    "normal_band_thresholds",
-    "normal_special_thresholds",
     "parse",
     "partition",
     "point_thresholds",
     "run_sweep",
     "thresholds_at",
-    "uniform_thresholds",
     "validate_ordering",
 ]

@@ -53,7 +53,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except StrictSweepError as exc:
         print(f"strict mode stop: {exc}", file=sys.stderr)
         return 2
-    emit_outputs(rows, args.out)
+    try:
+        emit_outputs(rows, args.out)
+    except OSError as exc:
+        print(f"config error: cannot write outputs: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote thresholds.csv, regions.csv, summary.txt to {args.out}")
     return 0
 

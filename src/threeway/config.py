@@ -50,24 +50,24 @@ from .losses import (
     PointLoss,
     UniformLoss,
 )
+from .thresholds import RULES
 
-__all__ = ["ConfigError", "RunConfig", "TimeGrid", "FAMILIES", "MODES_FOR_FAMILY"]
+__all__ = ["ConfigError", "RunConfig", "TimeGrid", "FAMILIES"]
 
-FAMILIES = ("point", "uniform", "normal", "interval", "fuzzy")
-
-MODES_FOR_FAMILY = {
-    "point": (None,),
-    "uniform": (None,),
-    "normal": ("central", "band"),
-    "interval": ("optimistic", "pessimistic", "band"),
-    "fuzzy": ("optimistic", "pessimistic", "band"),
-}
+FAMILIES = tuple(dict.fromkeys(family for family, _ in RULES))
 
 GRID_ENDPOINT_TOL = 1e-9
 
 
 class ConfigError(ValueError):
     """Raised for any malformed or inconsistent run configuration."""
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,17 @@ class TimeGrid:
         for name, value in (("start", self.start), ("stop", self.stop), ("step", self.step)):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"time_grid.{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not _finite(value):
                 raise ConfigError(f"time_grid.{name} must be finite, got {value!r}")
         if self.step <= 0:
             raise ConfigError(f"time_grid.step must be positive, got {self.step!r}")
         if self.stop < self.start:
             raise ConfigError(
                 f"time_grid.stop ({self.stop!r}) is below start ({self.start!r})"
+            )
+        if not math.isfinite((float(self.stop) - float(self.start)) / float(self.step)):
+            raise ConfigError(
+                "time_grid is too long: (stop - start) / step overflows a float"
             )
 
     def points(self) -> list[float]:
@@ -129,10 +133,12 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError("config nests too deeply to parse") from None
         return cls.from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
@@ -183,7 +189,7 @@ class RunConfig:
         mode = data.get("mode")
         if mode is not None and not isinstance(mode, str):
             raise ConfigError(f"mode must be a string or null, got {mode!r}")
-        allowed = MODES_FOR_FAMILY[family]
+        allowed = tuple(m for f, m in RULES if f == family)
         if mode not in allowed:
             if allowed == (None,):
                 raise ConfigError(

@@ -11,9 +11,11 @@ which bind tighter than ``+`` and ``-``):
     atom    := NUMBER | "t" | "(" expr ")"
 
 NUMBER is an unsigned decimal literal with an optional fractional part
-and an optional exponent part.  Whitespace is ignored everywhere.
-There is no implicit multiplication: "2t" is a syntax error, write
-"2*t".
+and an optional exponent part; it must be finite as a float.
+Whitespace is ignored everywhere.  There is no implicit
+multiplication: "2t" is a syntax error, write "2*t".  Neither the
+nesting of parentheses, unary minus, and ``^`` nor the height of the
+parsed tree may exceed ``MAX_DEPTH``.
 
 Parsing produces an immutable tree.  Evaluation is a pure function of
 the tree and a finite ``t``; it fails loudly (naming the offending
@@ -34,11 +36,18 @@ __all__ = [
     "Const",
     "ExprEvalError",
     "ExprSyntaxError",
+    "MAX_DEPTH",
     "Neg",
     "TimeExpr",
     "Var",
     "parse",
 ]
+
+
+# Deep enough for any hand-written loss, shallow enough that the
+# recursive parser, printer, and evaluator stay far inside Python's
+# default recursion limit.
+MAX_DEPTH = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -223,10 +232,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _height(root: Node) -> int:
+    """Levels in the tree, counted without recursion."""
+
+    height = 0
+    level = [root]
+    while level:
+        height += 1
+        children: list[Node] = []
+        for node in level:
+            if isinstance(node, Neg):
+                children.append(node.operand)
+            elif isinstance(node, BinOp):
+                children += (node.left, node.right)
+        level = children
+    return height
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -257,11 +284,18 @@ class _Parser:
                 return node
 
     def factor(self) -> Node:
-        kind, text, _ = self.peek()
+        # every recursive descent passes through here
+        kind, text, offset = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", offset)
         if kind == "op" and text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            node: Node = Neg(self.factor())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.atom()
@@ -274,7 +308,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, text, offset = self.advance()
         if kind == "number":
-            return Const(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is out of range", offset)
+            return Const(value)
         if kind == "ident":
             if text == "t":
                 return Var()
@@ -308,4 +345,6 @@ def parse(text: str) -> TimeExpr:
     kind, trailing, offset = parser.peek()
     if kind != "end":
         raise ExprSyntaxError(f"unexpected token {trailing!r}", offset)
+    if _height(node) > MAX_DEPTH:
+        raise ExprSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", 0)
     return TimeExpr(node)

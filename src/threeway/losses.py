@@ -18,7 +18,7 @@ expressions in the time variable ``t``:
 
 * ``PointLoss``       -- a single value.
 * ``UniformLoss``     -- a uniform distribution on [a(t), b(t)]; its
-  expected loss is the midpoint, so it evaluates to a scalar.
+  expected loss is the midpoint.
 * ``NormalBandLoss``  -- a normal distribution summarized by the band
   [mu - n*sigma, mu + n*sigma] for n in {1, 2, 3}.
 * ``IntervalLoss``    -- an interval [lo(t), hi(t)].
@@ -26,72 +26,43 @@ expressions in the time variable ``t``:
   values whose membership reaches eta(t), and the hull of the kept
   values is the entry's interval.
 
-Every evaluation enforces non-negative losses.  ``evaluate_loss``
-returns a ``Scalar`` for the point and uniform variants and a ``Band``
-for the rest.
+Every evaluation enforces non-negative losses.  ``evaluate_entry``
+reduces any entry to one ``Entry`` record ``(lo, central, hi)``: the
+lower, central, and upper representative the threshold rules choose
+from.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .expr import TimeExpr
 
 __all__ = [
-    "Band",
     "ENTRY_NAMES",
+    "Entry",
     "FuzzyElement",
     "FuzzyLoss",
     "IntervalLoss",
     "LossMatrix",
     "LossModelError",
     "LossSpec",
-    "LossValue",
     "NormalBandLoss",
     "OrderingMode",
-    "OrderingReport",
     "OrderingViolation",
     "PointLoss",
-    "Scalar",
     "UniformLoss",
-    "bounds_at",
-    "central_at",
     "cut_set",
-    "evaluate_loss",
+    "evaluate_entry",
+    "evaluate_matrix",
     "validate_ordering",
 ]
 
 
 class LossModelError(ValueError):
     """Raised when a loss specification cannot be evaluated at some t."""
-
-
-@dataclass(frozen=True)
-class Scalar:
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise LossModelError(f"loss must be non-negative, got {self.value!r}")
-
-
-@dataclass(frozen=True)
-class Band:
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if self.lo < 0:
-            raise LossModelError(f"loss must be non-negative, got {self.lo!r}")
-        if self.lo > self.hi:
-            raise LossModelError(
-                f"band lower bound {self.lo!r} exceeds upper bound {self.hi!r}"
-            )
-
-
-LossValue = Union[Scalar, Band]
 
 
 @dataclass(frozen=True)
@@ -175,14 +146,8 @@ class LossMatrix:
     @property
     def entries(self) -> tuple[tuple[str, LossSpec], ...]:
         """The six (name, spec) pairs in canonical order."""
-        return (
-            ("pp", self.pp),
-            ("bp", self.bp),
-            ("np", self.np_),
-            ("nn", self.nn),
-            ("bn", self.bn),
-            ("pn", self.pn),
-        )
+        specs = (self.pp, self.bp, self.np_, self.nn, self.bn, self.pn)
+        return tuple(zip(ENTRY_NAMES, specs))
 
     @property
     def family(self) -> type:
@@ -222,17 +187,33 @@ def cut_set(
     return frozenset(kept)
 
 
-def evaluate_loss(spec: LossSpec, t: float) -> LossValue:
-    """Evaluate one loss entry at time ``t``.
+class Entry(NamedTuple):
+    """One loss entry at one t: lower, central, and upper representative.
 
-    Point and uniform entries produce a ``Scalar`` (the uniform one via
-    its midpoint); normal-band, interval, and fuzzy entries produce a
-    ``Band``.  Violated shape constraints (a > b, mu - n*sigma < 0,
+    Point entries repeat their value.  Uniform entries span their
+    support [a, b] with the midpoint (the expected loss) as centre;
+    normal entries span mu -/+ n*sigma around mu; interval and fuzzy
+    entries span their interval (a fuzzy entry's cut hull) around its
+    midpoint.
+    """
+
+    lo: float
+    central: float
+    hi: float
+
+
+def evaluate_entry(spec: LossSpec, t: float) -> Entry:
+    """Evaluate one loss entry at time ``t``, each expression once.
+
+    Violated shape constraints (a > b, negative sigma, mu - n*sigma < 0,
     lo > hi, empty cut, negative loss) raise ``LossModelError``.
     """
 
     if isinstance(spec, PointLoss):
-        return Scalar(spec.value(t))
+        value = spec.value(t)
+        if value < 0:
+            raise LossModelError(f"loss must be non-negative, got {value!r}")
+        return Entry(value, value, value)
     if isinstance(spec, UniformLoss):
         a = spec.a(t)
         b = spec.b(t)
@@ -243,7 +224,7 @@ def evaluate_loss(spec: LossSpec, t: float) -> LossValue:
             )
         if a < 0:
             raise LossModelError(f"loss must be non-negative, got {a!r} at t={t!r}")
-        return Scalar((a + b) / 2)
+        return Entry(a, (a + b) / 2, b)
     if isinstance(spec, NormalBandLoss):
         mu = spec.mu(t)
         sigma = spec.sigma(t)
@@ -255,7 +236,7 @@ def evaluate_loss(spec: LossSpec, t: float) -> LossValue:
                 f"normal band dips below zero at t={t!r}: "
                 f"mu - n*sigma = {mu - spread!r}"
             )
-        return Band(mu - spread, mu + spread)
+        return Entry(mu - spread, mu, mu + spread)
     if isinstance(spec, IntervalLoss):
         lo = spec.lo(t)
         hi = spec.hi(t)
@@ -266,7 +247,7 @@ def evaluate_loss(spec: LossSpec, t: float) -> LossValue:
             )
         if lo < 0:
             raise LossModelError(f"loss must be non-negative, got {lo!r} at t={t!r}")
-        return Band(lo, hi)
+        return Entry(lo, (lo + hi) / 2, hi)
     if isinstance(spec, FuzzyLoss):
         eta_value = spec.eta(t)
         if not 0 <= eta_value <= 1:
@@ -281,38 +262,19 @@ def evaluate_loss(spec: LossSpec, t: float) -> LossValue:
         lo = min(kept)
         if lo < 0:
             raise LossModelError(f"loss must be non-negative, got {lo!r} at t={t!r}")
-        return Band(lo, max(kept))
+        hi = max(kept)
+        return Entry(lo, (lo + hi) / 2, hi)
     raise TypeError(f"not a loss spec: {spec!r}")
 
 
-def bounds_at(spec: LossSpec, t: float) -> tuple[float, float]:
-    """Lower and upper representative of one entry at ``t``.
+def evaluate_matrix(matrix: LossMatrix, t: float) -> tuple[Entry, ...]:
+    """The six entries at ``t`` in canonical order (pp, bp, np, nn, bn, pn).
 
-    Point entries repeat their value, uniform entries report their raw
-    support endpoints (a, b), and banded variants use the band
-    endpoints.
+    Entries are evaluated in that order, so when several fail the
+    first one's error is the one raised.
     """
 
-    value = evaluate_loss(spec, t)
-    if isinstance(spec, UniformLoss):
-        # evaluate_loss has enforced a <= b and non-negativity
-        return spec.a(t), spec.b(t)
-    if isinstance(value, Scalar):
-        return value.value, value.value
-    return value.lo, value.hi
-
-
-def central_at(spec: LossSpec, t: float) -> float:
-    """Central scalar representative of one entry at ``t``."""
-
-    if isinstance(spec, NormalBandLoss):
-        # evaluate to enforce the band invariants, then use the mean
-        evaluate_loss(spec, t)
-        return spec.mu(t)
-    value = evaluate_loss(spec, t)
-    if isinstance(value, Scalar):
-        return value.value
-    return (value.lo + value.hi) / 2
+    return tuple(evaluate_entry(spec, t) for _, spec in matrix.entries)
 
 
 class OrderingMode(enum.Enum):
@@ -335,67 +297,39 @@ class OrderingViolation:
         return f"{self.constraint} fails at t={self.t!r}: {self.lhs!r} > {self.rhs!r}"
 
 
-@dataclass(frozen=True)
-class OrderingReport:
-    mode: OrderingMode
-    t: float
-    violations: tuple[OrderingViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def first(self) -> OrderingViolation | None:
-        return self.violations[0] if self.violations else None
-
-
-_CHAINS = (("pp", "bp", "np"), ("nn", "bn", "pn"))
+# The Entry field compared on the left and on the right entry of each link.
+_SIDES = {
+    OrderingMode.CENTRAL: ("central", "central"),
+    OrderingMode.LOWER: ("lo", "lo"),
+    OrderingMode.UPPER: ("hi", "hi"),
+    OrderingMode.INTERLEAVED: ("hi", "lo"),
+}
+_LABELS = {"lo": "lower", "central": "central", "hi": "upper"}
 
 
 def validate_ordering(
-    matrix: LossMatrix, t: float, mode: OrderingMode
-) -> OrderingReport:
-    """Check the loss-ordering chains at ``t``.
+    entries: Sequence[Entry], t: float, mode: OrderingMode
+) -> list[OrderingViolation]:
+    """Violations of the loss-ordering chains among evaluated entries.
 
     For the scalar modes the constraint is ``pp <= bp <= np`` and
     ``nn <= bn <= pn`` on the chosen representative (central value,
-    all lower bounds, or all upper bounds).  INTERLEAVED additionally
+    all lower bounds, or all upper bounds).  INTERLEAVED instead
     demands that consecutive entries' bands do not overlap:
-    ``upper(pp) <= lower(bp) <= upper(bp) <= lower(np)`` and the same
-    along the nn/bn/pn chain.
+    ``upper(pp) <= lower(bp)``, ``upper(bp) <= lower(np)``, and the
+    same along the nn/bn/pn chain.  Violations come in chain order.
     """
 
-    specs = dict(matrix.entries)
-    violations: list[OrderingViolation] = []
-
-    def check(constraint: str, lhs: float, rhs: float) -> None:
+    left_side, right_side = _SIDES[mode]
+    violations = []
+    # links pp-bp, bp-np, nn-bn, bn-pn
+    for i in (0, 1, 3, 4):
+        lhs = getattr(entries[i], left_side)
+        rhs = getattr(entries[i + 1], right_side)
         if lhs > rhs:
+            constraint = (
+                f"{_LABELS[left_side]}({ENTRY_NAMES[i]}) <= "
+                f"{_LABELS[right_side]}({ENTRY_NAMES[i + 1]})"
+            )
             violations.append(OrderingViolation(constraint, t, lhs, rhs))
-
-    if mode is OrderingMode.INTERLEAVED:
-        for chain in _CHAINS:
-            bounds = {name: bounds_at(specs[name], t) for name in chain}
-            for left, right in zip(chain, chain[1:]):
-                check(
-                    f"upper({left}) <= lower({right})",
-                    bounds[left][1],
-                    bounds[right][0],
-                )
-    else:
-        if mode is OrderingMode.CENTRAL:
-            rep = {name: central_at(spec, t) for name, spec in matrix.entries}
-            label = "central"
-        elif mode is OrderingMode.LOWER:
-            rep = {name: bounds_at(spec, t)[0] for name, spec in matrix.entries}
-            label = "lower"
-        elif mode is OrderingMode.UPPER:
-            rep = {name: bounds_at(spec, t)[1] for name, spec in matrix.entries}
-            label = "upper"
-        else:
-            raise TypeError(f"not an ordering mode: {mode!r}")
-        for chain in _CHAINS:
-            for left, right in zip(chain, chain[1:]):
-                check(f"{label}({left}) <= {label}({right})", rep[left], rep[right])
-
-    return OrderingReport(mode, t, tuple(violations))
+    return violations

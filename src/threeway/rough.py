@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import AbstractSet, Sequence
 
 __all__ = [
@@ -92,13 +93,6 @@ class InformationSystem:
         except ValueError:
             raise ValueError(f"unknown attribute {attr!r}") from None
 
-    def value(self, obj: str, attr: str) -> str:
-        try:
-            i = self.objects.index(obj)
-        except ValueError:
-            raise ValueError(f"unknown object id {obj!r}") from None
-        return self.rows[i][self.attribute_index(attr)]
-
     @property
     def concept(self) -> frozenset[str]:
         """Objects whose decision value equals the positive value."""
@@ -136,12 +130,14 @@ def partition(system: InformationSystem, condition_attrs: Sequence[str]) -> Part
     return Partition(tuple(frozenset(members) for members in groups.values()))
 
 
-def conditional_probability(concept: AbstractSet[str], block: AbstractSet[str]) -> float:
-    """Fraction of ``block`` that lies inside ``concept``."""
+def conditional_probability(
+    concept: AbstractSet[str], block: AbstractSet[str]
+) -> Fraction:
+    """Share of ``block`` that lies inside ``concept``, as an exact ratio."""
 
     if not block:
         raise ValueError("block must be non-empty")
-    return len(concept & block) / len(block)
+    return Fraction(len(concept & block), len(block))
 
 
 def classify(p: float, alpha: float, beta: float) -> Region:

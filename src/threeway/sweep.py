@@ -33,18 +33,24 @@ from fractions import Fraction
 
 from .config import RunConfig
 from .expr import ExprEvalError
-from .losses import LossModelError, OrderingMode, bounds_at, central_at, validate_ordering
-from .rough import InformationSystem, Region, RegionAssignment, classify, partition
+from .losses import LossModelError, evaluate_matrix, validate_ordering
+from .rough import (
+    InformationSystem,
+    Region,
+    RegionAssignment,
+    classify,
+    conditional_probability,
+    partition,
+)
 from .risk import min_risk_region
 from .thresholds import (
+    RULES,
     BandPair,
     OrderingViolationError,
     PointPair,
     ThresholdError,
     ThresholdResult,
-    fuzzy_threshold_bounds,
-    interval_threshold_bounds,
-    normal_band_thresholds,
+    band_thresholds,
     point_thresholds,
 )
 
@@ -104,7 +110,7 @@ def load_dataset(path: str, decision_attr: str, positive_value: str) -> Informat
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             table = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DatasetError(f"cannot read dataset: {exc}") from None
     if not table:
         raise DatasetError("dataset is empty: missing header row")
@@ -144,41 +150,18 @@ def load_dataset(path: str, decision_attr: str, positive_value: str) -> Informat
     return InformationSystem(objects, attributes, rows, decision_attr, positive_value)
 
 
-_ORDERING_MODES = {
-    "point": (OrderingMode.CENTRAL,),
-    "uniform": (OrderingMode.LOWER, OrderingMode.UPPER),
-    "normal": (OrderingMode.CENTRAL,),
-}
+def _checked_entries(config: RunConfig, t: float):
+    """The six entries at ``t``, each evaluated once, and every violation
+    of the ordering chains the config's (family, mode) rule requires."""
 
-
-def _ordering_modes(family: str, mode: str | None) -> tuple[OrderingMode, ...]:
-    if family in _ORDERING_MODES:
-        return _ORDERING_MODES[family]
-    # interval and fuzzy depend on the mode
-    if mode == "optimistic":
-        return (OrderingMode.LOWER,)
-    if mode == "pessimistic":
-        return (OrderingMode.UPPER,)
-    return (OrderingMode.INTERLEAVED,)
-
-
-def _scalar_matrix(config: RunConfig, t: float) -> list[float]:
-    """The six scalars a point-valued mode feeds to the threshold rule."""
-
-    matrix = config.matrix
-    if config.family in ("point", "uniform") or (
-        config.family == "normal" and config.mode == "central"
-    ):
-        return [central_at(spec, t) for _, spec in matrix.entries]
-    side = 0 if config.mode == "optimistic" else 1
-    return [bounds_at(spec, t)[side] for _, spec in matrix.entries]
-
-
-_BAND_FUNCTIONS = {
-    "normal": normal_band_thresholds,
-    "interval": interval_threshold_bounds,
-    "fuzzy": fuzzy_threshold_bounds,
-}
+    orderings, _ = RULES[config.family, config.mode]
+    entries = evaluate_matrix(config.matrix, t)
+    violations = [
+        violation
+        for ordering in orderings
+        for violation in validate_ordering(entries, t, ordering)
+    ]
+    return entries, violations
 
 
 def _evaluate_at(config: RunConfig, t: float):
@@ -186,16 +169,17 @@ def _evaluate_at(config: RunConfig, t: float):
 
     Returns ``(result, exact_pair, exact_scalars)`` where the last two
     are ``None`` for band modes.  Raises ``LossModelError``,
-    ``ExprEvalError``, or ``ThresholdError`` on failure.
+    ``ExprEvalError``, or ``ThresholdError`` on failure; an evaluation
+    error wins over an ordering violation.
     """
 
-    for ordering_mode in _ordering_modes(config.family, config.mode):
-        report = validate_ordering(config.matrix, t, ordering_mode)
-        if not report.ok:
-            raise OrderingViolationError(report)
-    if config.mode == "band":
-        return _BAND_FUNCTIONS[config.family](config.matrix, t), None, None
-    scalars = [Fraction(value) for value in _scalar_matrix(config, t)]
+    entries, violations = _checked_entries(config, t)
+    if violations:
+        raise OrderingViolationError(violations[0])
+    _, representative = RULES[config.family, config.mode]
+    if representative == "band":
+        return band_thresholds(entries), None, None
+    scalars = [Fraction(getattr(entry, representative)) for entry in entries]
     pair = point_thresholds(*scalars)
     result = PointPair(float(pair.alpha), float(pair.beta))
     return result, pair, scalars
@@ -220,11 +204,7 @@ def check_ordering(config: RunConfig, t: float) -> list[str]:
     Evaluation failures propagate as exceptions.
     """
 
-    messages: list[str] = []
-    for ordering_mode in _ordering_modes(config.family, config.mode):
-        report = validate_ordering(config.matrix, t, ordering_mode)
-        messages.extend(str(violation) for violation in report.violations)
-    return messages
+    return [str(violation) for violation in _checked_entries(config, t)[1]]
 
 
 _PER_T_ERRORS = (LossModelError, ExprEvalError, ThresholdError)
@@ -256,7 +236,7 @@ def run_sweep(
         raise DatasetError(str(exc)) from None
     concept = system.concept
     block_probability = [
-        Fraction(len(concept & block), len(block)) for block in blocks.blocks
+        conditional_probability(concept, block) for block in blocks.blocks
     ]
     block_of = {
         obj: index for index, block in enumerate(blocks.blocks) for obj in block

@@ -1,4 +1,4 @@
-"""Acceptance and rejection thresholds from six-entry loss matrices.
+"""Acceptance and rejection thresholds from six evaluated loss entries.
 
 For scalar losses the two cut points of the minimum-expected-risk rule
 have closed forms:
@@ -7,18 +7,20 @@ have closed forms:
     beta  = (bn - nn) / ((bn - nn) + (np - bp))
 
 An object is accepted when its concept probability reaches ``alpha``
-and rejected when it does not exceed ``beta``.  The other families
-reduce to this scalar case:
+and rejected when it does not exceed ``beta``.  Every family reduces to
+this scalar case through ``RULES``, which names for each (family, mode)
+pair the ordering chains that must hold and the representative taken
+from each entry's ``(lo, central, hi)`` record:
 
-* uniform entries via their midpoints;
-* normal bands via the two all-lower / all-upper special cases, plus a
-  four-formula envelope that brackets every threshold the band can
-  produce;
-* intervals via the all-lower (optimistic) or all-upper (pessimistic)
-  selection, plus an envelope that brackets the thresholds of every
-  pointwise selection from the six intervals;
-* fuzzy numbers by first collapsing each entry to its cut interval and
-  then proceeding as for intervals.
+* point and uniform entries use their central value (a uniform entry's
+  midpoint), and a uniform matrix must order both endpoint chains;
+* normal entries use their mean (``central``), or a four-formula
+  envelope over their mu -/+ n*sigma bands (``band``);
+* interval and fuzzy entries (a fuzzy entry's interval is its cut hull)
+  use every lower endpoint (``optimistic``), every upper endpoint
+  (``pessimistic``), or the envelope (``band``), which brackets the
+  thresholds of every pointwise selection from the six intervals when
+  they satisfy the interleaved ordering.
 
 Nothing here clamps a scalar threshold: if a computed value escapes
 [0, 1] the input orderings were violated and an error is raised.  Band
@@ -31,20 +33,9 @@ carry, so ``fractions.Fraction`` inputs yield exact results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
-from .losses import (
-    FuzzyLoss,
-    IntervalLoss,
-    LossMatrix,
-    NormalBandLoss,
-    OrderingMode,
-    OrderingReport,
-    UniformLoss,
-    bounds_at,
-    central_at,
-    validate_ordering,
-)
+from .losses import Entry, OrderingMode, OrderingViolation
 
 __all__ = [
     "BandPair",
@@ -52,18 +43,29 @@ __all__ = [
     "DegenerateMatrixError",
     "OrderingViolationError",
     "PointPair",
+    "RULES",
     "ThresholdError",
     "ThresholdResult",
-    "interval_threshold_bounds",
-    "interval_thresholds",
-    "normal_band_extremes",
-    "normal_band_thresholds",
-    "normal_special_thresholds",
+    "band_extremes",
+    "band_thresholds",
     "point_thresholds",
-    "uniform_thresholds",
-    "fuzzy_threshold_bounds",
-    "fuzzy_thresholds",
 ]
+
+# (family, mode) -> (the ordering chains that must hold, in the order they
+# are checked; the Entry field fed to point_thresholds, or "band" for the
+# envelope).  The keys are exactly the valid families and modes of a run.
+RULES = {
+    ("point", None): ((OrderingMode.CENTRAL,), "central"),
+    ("uniform", None): ((OrderingMode.LOWER, OrderingMode.UPPER), "central"),
+    ("normal", "central"): ((OrderingMode.CENTRAL,), "central"),
+    ("normal", "band"): ((OrderingMode.CENTRAL,), "band"),
+    ("interval", "optimistic"): ((OrderingMode.LOWER,), "lo"),
+    ("interval", "pessimistic"): ((OrderingMode.UPPER,), "hi"),
+    ("interval", "band"): ((OrderingMode.INTERLEAVED,), "band"),
+    ("fuzzy", "optimistic"): ((OrderingMode.LOWER,), "lo"),
+    ("fuzzy", "pessimistic"): ((OrderingMode.UPPER,), "hi"),
+    ("fuzzy", "band"): ((OrderingMode.INTERLEAVED,), "band"),
+}
 
 DEGENERATE_TOL = 1e-12
 
@@ -79,14 +81,12 @@ class DegenerateMatrixError(ThresholdError):
 class OrderingViolationError(ThresholdError):
     """Raised when a required loss-ordering chain fails.
 
-    Carries the full :class:`OrderingReport` as ``report``.
+    Carries the first failing link as ``violation``.
     """
 
-    def __init__(self, report: OrderingReport):
-        first = report.first
-        assert first is not None
-        super().__init__(str(first))
-        self.report = report
+    def __init__(self, violation: OrderingViolation):
+        super().__init__(str(violation))
+        self.violation = violation
 
 
 @dataclass(frozen=True)
@@ -163,58 +163,37 @@ def point_thresholds(pp, bp, np_, nn, bn, pn) -> PointPair:
     return PointPair(alpha, beta)
 
 
-def _require(matrix: LossMatrix, family: type) -> None:
-    if matrix.family is not family:
-        raise TypeError(
-            f"expected a {family.__name__} matrix, got {matrix.family.__name__}"
-        )
+def band_extremes(entries: Sequence[Entry]) -> tuple[float, float, float, float]:
+    """The four envelope ratios (alpha_lo, alpha_hi, beta_lo, beta_hi)
+    from six entries' (lo, hi) bounds, before clamping to [0, 1].
 
-
-def _checked(report: OrderingReport) -> None:
-    if not report.ok:
-        raise OrderingViolationError(report)
-
-
-def uniform_thresholds(matrix: LossMatrix, t: float) -> PointPair:
-    """Thresholds for a uniform matrix at ``t``, via entry midpoints.
-
-    Both endpoint chains (all the ``a`` endpoints and all the ``b``
-    endpoints) must be ordered; the midpoint reduction is exact for
-    uniform distributions.
+    The upper ratios can legitimately exceed 1 and the lower ones can
+    go negative; :func:`band_thresholds` applies the clamping.
     """
 
-    _require(matrix, UniformLoss)
-    _checked(validate_ordering(matrix, t, OrderingMode.LOWER))
-    _checked(validate_ordering(matrix, t, OrderingMode.UPPER))
-    mids = [central_at(spec, t) for _, spec in matrix.entries]
-    return point_thresholds(*mids)
-
-
-def _matrix_bounds(matrix: LossMatrix, t: float) -> list[tuple[float, float]]:
-    return [bounds_at(spec, t) for _, spec in matrix.entries]
-
-
-def _band_extremes(bounds) -> tuple[float, float, float, float]:
-    """The four envelope ratios from six (lo, hi) entry bounds."""
-
-    pp, bp, np_, nn, bn, pn = bounds
+    pp, bp, np_, nn, bn, pn = entries
     alpha_lo = _ratio(
-        pn[0] - bn[1], (pn[1] - bn[0]) + (bp[1] - pp[0]), "alpha envelope lower"
+        pn.lo - bn.hi, (pn.hi - bn.lo) + (bp.hi - pp.lo), "alpha envelope lower"
     )
     alpha_hi = _ratio(
-        pn[1] - bn[0], (pn[0] - bn[1]) + (bp[0] - pp[1]), "alpha envelope upper"
+        pn.hi - bn.lo, (pn.lo - bn.hi) + (bp.lo - pp.hi), "alpha envelope upper"
     )
     beta_lo = _ratio(
-        bn[0] - nn[1], (bn[1] - nn[0]) + (np_[1] - bp[0]), "beta envelope lower"
+        bn.lo - nn.hi, (bn.hi - nn.lo) + (np_.hi - bp.lo), "beta envelope lower"
     )
     beta_hi = _ratio(
-        bn[1] - nn[0], (bn[0] - nn[1]) + (np_[0] - bp[1]), "beta envelope upper"
+        bn.hi - nn.lo, (bn.lo - nn.hi) + (np_.lo - bp.hi), "beta envelope upper"
     )
     return alpha_lo, alpha_hi, beta_lo, beta_hi
 
 
-def _clamped_band(extremes) -> BandPair:
-    alpha_lo, alpha_hi, beta_lo, beta_hi = extremes
+def band_thresholds(entries: Sequence[Entry]) -> BandPair:
+    """Threshold envelope from six entries' bounds, clamped to [0, 1].
+
+    All four envelope denominators must be positive.
+    """
+
+    alpha_lo, alpha_hi, beta_lo, beta_hi = band_extremes(entries)
     pair = (
         max(alpha_lo, 0.0),
         min(alpha_hi, 1.0),
@@ -227,106 +206,3 @@ def _clamped_band(extremes) -> BandPair:
             "loss orderings are violated"
         )
     return BandPair(*pair)
-
-
-def normal_band_extremes(matrix: LossMatrix, t: float) -> tuple[float, float, float, float]:
-    """Raw envelope ratios (alpha_lo, alpha_hi, beta_lo, beta_hi) for a
-    normal matrix at ``t``, before any clamping to [0, 1].
-
-    The upper ratios can legitimately exceed 1 and the lower ones can
-    go negative; :func:`normal_band_thresholds` applies the clamping.
-    """
-
-    _require(matrix, NormalBandLoss)
-    return _band_extremes(_matrix_bounds(matrix, t))
-
-
-def normal_band_thresholds(matrix: LossMatrix, t: float) -> BandPair:
-    """Clamped threshold envelope for a normal matrix at ``t``.
-
-    Every entry's band [mu - n*sigma, mu + n*sigma] must stay
-    non-negative, and all four envelope denominators must be positive.
-    """
-
-    return _clamped_band(normal_band_extremes(matrix, t))
-
-
-def normal_special_thresholds(matrix: LossMatrix, t: float, which: int) -> PointPair:
-    """Point thresholds from a normal matrix's band edges.
-
-    ``which=1`` uses every entry's lower edge mu - n*sigma, ``which=2``
-    every upper edge mu + n*sigma.
-    """
-
-    _require(matrix, NormalBandLoss)
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
-    side = 0 if which == 1 else 1
-    edges = [b[side] for b in _matrix_bounds(matrix, t)]
-    return point_thresholds(*edges)
-
-
-_SIDE_FOR_MODE = {"optimistic": 0, "pessimistic": 1}
-_MODE_FOR_SIDE = {
-    "optimistic": OrderingMode.LOWER,
-    "pessimistic": OrderingMode.UPPER,
-}
-
-
-def _one_sided_thresholds(matrix: LossMatrix, t: float, mode: str) -> PointPair:
-    if mode not in _SIDE_FOR_MODE:
-        raise ValueError(f"mode must be 'optimistic' or 'pessimistic', got {mode!r}")
-    _checked(validate_ordering(matrix, t, _MODE_FOR_SIDE[mode]))
-    side = _SIDE_FOR_MODE[mode]
-    chosen = [b[side] for b in _matrix_bounds(matrix, t)]
-    return point_thresholds(*chosen)
-
-
-def interval_thresholds(matrix: LossMatrix, t: float, mode: str) -> PointPair:
-    """Thresholds for an interval matrix at ``t``.
-
-    ``mode='optimistic'`` uses every entry's lower endpoint,
-    ``mode='pessimistic'`` every upper endpoint.  The chosen endpoints
-    must satisfy the ordering chains.
-    """
-
-    _require(matrix, IntervalLoss)
-    return _one_sided_thresholds(matrix, t, mode)
-
-
-def interval_threshold_bounds(matrix: LossMatrix, t: float) -> BandPair:
-    """Threshold envelope for an interval matrix at ``t``.
-
-    Under the interleaved ordering (each entry's whole interval sits
-    below the next entry's along both chains), the thresholds of every
-    pointwise selection from the six intervals fall inside this
-    envelope.
-    """
-
-    _require(matrix, IntervalLoss)
-    _checked(validate_ordering(matrix, t, OrderingMode.INTERLEAVED))
-    return _clamped_band(_band_extremes(_matrix_bounds(matrix, t)))
-
-
-def fuzzy_thresholds(matrix: LossMatrix, t: float, mode: str) -> PointPair:
-    """Thresholds for a fuzzy matrix at ``t``.
-
-    Each entry first collapses to the hull of its cut values; the
-    optimistic/pessimistic endpoint selection then proceeds exactly as
-    for interval matrices.
-    """
-
-    _require(matrix, FuzzyLoss)
-    return _one_sided_thresholds(matrix, t, mode)
-
-
-def fuzzy_threshold_bounds(matrix: LossMatrix, t: float) -> BandPair:
-    """Threshold envelope for a fuzzy matrix at ``t``.
-
-    The cut hulls must satisfy the interleaved ordering; the envelope
-    then brackets the thresholds of every selection from those hulls.
-    """
-
-    _require(matrix, FuzzyLoss)
-    _checked(validate_ordering(matrix, t, OrderingMode.INTERLEAVED))
-    return _clamped_band(_band_extremes(_matrix_bounds(matrix, t)))

@@ -14,9 +14,12 @@ from threeway import (
     LossMatrix,
     NormalBandLoss,
     PointLoss,
+    RunConfig,
     TimeExpr,
+    TimeGrid,
     UniformLoss,
     parse,
+    thresholds_at,
 )
 
 TOL = 1e-12
@@ -66,6 +69,38 @@ def fuzzy_matrix(entry_elements, eta: str, strong: bool = False) -> LossMatrix:
             )
         )
     return _matrix(specs)
+
+
+FAMILY_OF = {
+    PointLoss: "point",
+    UniformLoss: "uniform",
+    NormalBandLoss: "normal",
+    IntervalLoss: "interval",
+    FuzzyLoss: "fuzzy",
+}
+
+
+def matrix_config(matrix: LossMatrix, mode: str | None = None) -> RunConfig:
+    """A run config around a matrix built in code; its dataset is never read."""
+
+    return RunConfig(
+        dataset_path="unused.csv",
+        condition_attrs=("shade",),
+        decision_attr="approved",
+        positive_value="yes",
+        family=FAMILY_OF[matrix.family],
+        matrix=matrix,
+        mode=mode,
+        time_grid=TimeGrid(0, 0, 1),
+        strict_ordering=False,
+    )
+
+
+def matrix_thresholds(matrix: LossMatrix, t: float, mode: str | None = None):
+    """The thresholds ``thresholds_at`` reports for a matrix built in code."""
+
+    result, _ = thresholds_at(matrix_config(matrix, mode), t)
+    return result
 
 
 # ---------------------------------------------------------------------------

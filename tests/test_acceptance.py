@@ -18,24 +18,18 @@ from threeway import (
     LossMatrix,
     Region,
     RunConfig,
-    bounds_at,
+    band_extremes,
     classify,
     conditional_probability,
     cut_set,
-    fuzzy_threshold_bounds,
-    fuzzy_thresholds,
-    interval_threshold_bounds,
-    interval_thresholds,
+    evaluate_entry,
+    evaluate_matrix,
     load_dataset,
     min_risk_region,
-    normal_band_extremes,
-    normal_band_thresholds,
-    normal_special_thresholds,
     parse,
     partition,
     point_thresholds,
     run_sweep,
-    uniform_thresholds,
 )
 from threeway.cli import main
 
@@ -62,6 +56,7 @@ from helpers import (
     interval_config,
     interval_demo_matrix,
     interval_matrix_const,
+    matrix_thresholds,
     normal_demo_matrix,
     normal_matrix,
     point_config,
@@ -92,7 +87,7 @@ def test_uniform_closed_form_regression():
         alpha = parse(UNIFORM_ALPHA)
         beta = parse(UNIFORM_BETA)
         for t in (0.0, 1.0, 2.0, 5.0, 10.0):
-            pair = uniform_thresholds(matrix, t)
+            pair = matrix_thresholds(matrix, t)
             assert abs(pair.alpha - alpha(t)) <= TOL, (t, pair)
             assert abs(pair.beta - beta(t)) <= TOL, (t, pair)
 
@@ -106,7 +101,7 @@ def test_interval_closed_form_regression():
         }
         for mode, (alpha, beta) in forms.items():
             for t in (0.0, 1.0, 2.0, 5.0, 10.0):
-                pair = interval_thresholds(matrix, t, mode)
+                pair = matrix_thresholds(matrix, t, mode)
                 assert abs(pair.alpha - alpha(t)) <= TOL, (mode, t, pair)
                 assert abs(pair.beta - beta(t)) <= TOL, (mode, t, pair)
 
@@ -119,15 +114,15 @@ def test_fuzzy_reduction_regression():
             for (_, fuzzy_spec), (_, interval_spec) in zip(
                 fuzzy.entries, interval.entries
             ):
-                got = bounds_at(fuzzy_spec, t)
-                want = bounds_at(interval_spec, t)
-                assert abs(got[0] - want[0]) <= TOL, (t, got, want)
-                assert abs(got[1] - want[1]) <= TOL, (t, got, want)
+                got = evaluate_entry(fuzzy_spec, t)
+                want = evaluate_entry(interval_spec, t)
+                assert abs(got.lo - want.lo) <= TOL, (t, got, want)
+                assert abs(got.hi - want.hi) <= TOL, (t, got, want)
             for mode, alpha, beta in (
                 ("optimistic", INTERVAL_OPT_ALPHA, INTERVAL_OPT_BETA),
                 ("pessimistic", INTERVAL_PES_ALPHA, INTERVAL_PES_BETA),
             ):
-                pair = fuzzy_thresholds(fuzzy, t, mode)
+                pair = matrix_thresholds(fuzzy, t, mode)
                 assert abs(pair.alpha - parse(alpha)(t)) <= TOL, (mode, t, pair)
                 assert abs(pair.beta - parse(beta)(t)) <= TOL, (mode, t, pair)
 
@@ -154,7 +149,7 @@ def test_normal_band_regression():
             parse(NORMAL_BETA_HI),
         )
         for t in (1.0, 2.0, 5.0):
-            raw = normal_band_extremes(matrix, t)
+            raw = band_extremes(evaluate_matrix(matrix, t))
             for got, form in zip(raw, forms):
                 assert abs(got - form(t)) <= TOL, (t, raw)
 
@@ -203,10 +198,10 @@ def test_selection_containment():
         rng = random.Random(61803)
         for _ in range(50):
             bounds = random_interval_bounds(rng)
-            interval_band = interval_threshold_bounds(
-                interval_matrix_const(bounds), 0.0
+            interval_band = matrix_thresholds(
+                interval_matrix_const(bounds), 0.0, "band"
             )
-            fuzzy_band = fuzzy_threshold_bounds(_fuzzy_twin(bounds), 0.0)
+            fuzzy_band = matrix_thresholds(_fuzzy_twin(bounds), 0.0, "band")
             assert fuzzy_band == interval_band, (bounds,)
             for _ in range(1000):
                 picks = [rng.uniform(lo, hi) for lo, hi in bounds]
@@ -223,9 +218,10 @@ def test_normal_containment():
             n = rng.choice([1, 2, 3])
             matrix = normal_matrix(random_normal_pairs(rng, n), n=n)
             for t in (1.0, 2.0, 5.0):
-                band = normal_band_thresholds(matrix, t)
-                for which in (1, 2):
-                    pair = normal_special_thresholds(matrix, t, which)
+                band = matrix_thresholds(matrix, t, "band")
+                entries = evaluate_matrix(matrix, t)
+                for side in ("lo", "hi"):
+                    pair = point_thresholds(*(getattr(e, side) for e in entries))
                     assert band.alpha_lo - TOL <= pair.alpha <= band.alpha_hi + TOL
                     assert band.beta_lo - TOL <= pair.beta <= band.beta_hi + TOL
 
@@ -246,7 +242,7 @@ def test_partition_oracle_and_region_cover(tmp_path):
             assert set(blocks.blocks) == pairwise_blocks(system, chosen)
             concept = system.concept
             for block in blocks.blocks:
-                want = float(Fraction(len(concept & block), len(block)))
+                want = Fraction(sum(obj in concept for obj in block), len(block))
                 assert conditional_probability(concept, block) == want
 
         # every sweep assigns each object to exactly one region at every

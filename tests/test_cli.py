@@ -5,9 +5,17 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from threeway.cli import main
 
-from helpers import interval_config, point_config, uniform_config, write_run_files
+from helpers import (
+    dataset_csv,
+    interval_config,
+    point_config,
+    uniform_config,
+    write_run_files,
+)
 
 
 def test_run_writes_all_outputs(tmp_path, capsys):
@@ -142,3 +150,118 @@ def test_validate_single_point_grid(tmp_path, capsys):
     config_path = write_run_files(str(tmp_path), config)
     assert main(["validate", "--config", config_path]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def _config_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("config error: "), err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize(
+    "expression,match",
+    [
+        ("1e400", "out of range"),
+        ("(" * 300 + "t" + ")" * 300, "nesting deeper than"),
+        ("-" * 3000 + "t", "nesting deeper than"),
+        ("+".join(["t"] * 3000), "nesting deeper than"),
+    ],
+    ids=["non-finite-literal", "deep-parentheses", "unary-minus-chain", "long-sum"],
+)
+def test_bad_expression_is_a_config_error(tmp_path, capsys, expression, match):
+    config = point_config(["0", "6", "13", "0", "8", "20"])
+    config["loss_matrix"]["bp"]["point"]["value"] = expression
+    config_path = write_run_files(str(tmp_path), config)
+    assert main(["validate", "--config", config_path]) == 1
+    assert match in _config_error(capsys)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_grid_overflow_is_a_config_error(tmp_path, capsys, command):
+    config = uniform_config()
+    config["time_grid"] = {"start": -1e308, "stop": 1e308, "step": 1}
+    config_path = write_run_files(str(tmp_path), config)
+    argv = [command, "--config", config_path]
+    if command == "run":
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert "time_grid" in _config_error(capsys)
+
+
+def _non_utf8_dataset(tmp_path):
+    config_path = write_run_files(str(tmp_path), uniform_config())
+    with open(tmp_path / "data.csv", "ab") as handle:
+        handle.write(b"o99,\xff,yes\n")
+    return config_path, str(tmp_path / "out")
+
+
+def _oversized_csv_field(tmp_path):
+    config_path = write_run_files(str(tmp_path), uniform_config())
+    with open(tmp_path / "data.csv", "a", encoding="utf-8") as handle:
+        handle.write("o99," + "x" * 200_000 + ",yes\n")
+    return config_path, str(tmp_path / "out")
+
+
+def _non_utf8_config(tmp_path):
+    config_path = write_run_files(str(tmp_path), uniform_config())
+    with open(config_path, "rb") as handle:
+        text = handle.read()
+    with open(config_path, "wb") as handle:
+        handle.write(text.replace(b'"yes"', b'"y\xe9s"'))
+    return config_path, str(tmp_path / "out")
+
+
+def _nested_json_config(tmp_path):
+    config_path = write_run_files(str(tmp_path), uniform_config())
+    with open(config_path, "w", encoding="utf-8") as handle:
+        handle.write("[" * 100_000 + "]" * 100_000)
+    return config_path, str(tmp_path / "out")
+
+
+def _out_is_a_file(tmp_path):
+    config_path = write_run_files(str(tmp_path), uniform_config())
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n", encoding="utf-8")
+    return config_path, str(out)
+
+
+@pytest.mark.parametrize(
+    "setup,match",
+    [
+        (_non_utf8_dataset, "cannot read dataset"),
+        (_oversized_csv_field, "cannot read dataset"),
+        (_non_utf8_config, "cannot read config"),
+        (_nested_json_config, "nests too deeply"),
+        (_out_is_a_file, "cannot write outputs"),
+    ],
+    ids=[
+        "non-utf8-dataset",
+        "oversized-csv-field",
+        "non-utf8-config",
+        "nested-json",
+        "out-is-a-file",
+    ],
+)
+def test_unreadable_input_or_unwritable_output_is_a_config_error(
+    tmp_path, capsys, setup, match
+):
+    config_path, out = setup(tmp_path)
+    assert main(["run", "--config", config_path, "--out", out]) == 1
+    assert match in _config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "prefix,newline", [("\ufeff", "\n"), ("", "\r\n")], ids=["bom", "crlf"]
+)
+def test_dataset_with_bom_or_crlf_runs_like_plain(tmp_path, prefix, newline):
+    config_path = write_run_files(str(tmp_path), uniform_config())
+    run = ["run", "--config", config_path, "--out"]
+    assert main(run + [str(tmp_path / "plain")]) == 0
+    text = prefix + dataset_csv().replace("\n", newline)
+    (tmp_path / "data.csv").write_bytes(text.encode("utf-8"))
+    assert main(run + [str(tmp_path / "variant")]) == 0
+    for name in ("thresholds.csv", "regions.csv", "summary.txt"):
+        assert (tmp_path / "variant" / name).read_bytes() == (
+            tmp_path / "plain" / name
+        ).read_bytes()

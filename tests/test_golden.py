@@ -32,7 +32,6 @@ CASES = (
 OUTPUTS = ("thresholds.csv", "regions.csv", "summary.txt")
 
 
-
 @pytest.mark.parametrize("case", CASES)
 def test_run_matches_golden_files(tmp_path, case):
     config_path = os.path.join(GOLDEN, case, "config.json")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from threeway import (
-    Band,
+    Entry,
     FuzzyElement,
     FuzzyLoss,
     IntervalLoss,
@@ -14,12 +14,10 @@ from threeway import (
     NormalBandLoss,
     OrderingMode,
     PointLoss,
-    Scalar,
     UniformLoss,
-    bounds_at,
-    central_at,
     cut_set,
-    evaluate_loss,
+    evaluate_entry,
+    evaluate_matrix,
     parse,
     validate_ordering,
 )
@@ -37,43 +35,46 @@ from helpers import (
 )
 
 
+def _violations(matrix, t, mode):
+    return validate_ordering(evaluate_matrix(matrix, t), t, mode)
+
+
 def test_point_evaluates_to_scalar():
-    value = evaluate_loss(PointLoss(parse("2*t+1")), 3.0)
-    assert value == Scalar(7.0)
+    value = evaluate_entry(PointLoss(parse("2*t+1")), 3.0)
+    assert value == Entry(7.0, 7.0, 7.0)
 
 
 def test_point_rejects_negative_value():
     with pytest.raises(LossModelError):
-        evaluate_loss(PointLoss(parse("t-5")), 0.0)
+        evaluate_entry(PointLoss(parse("t-5")), 0.0)
 
 
 def test_uniform_evaluates_to_midpoint():
     spec = UniformLoss(parse("2*t+2"), parse("4*t+4"))
-    assert evaluate_loss(spec, 1.0) == Scalar(6.0)
+    assert evaluate_entry(spec, 1.0) == Entry(4.0, 6.0, 8.0)
     # degenerate a == b collapses to the point value
     flat = UniformLoss(parse("3"), parse("3"))
-    assert evaluate_loss(flat, 9.0) == Scalar(3.0)
+    assert evaluate_entry(flat, 9.0) == Entry(3.0, 3.0, 3.0)
 
 
 def test_uniform_rejects_inverted_or_negative_endpoints():
     with pytest.raises(LossModelError, match="inverted"):
-        evaluate_loss(UniformLoss(parse("2"), parse("t")), 1.0)
+        evaluate_entry(UniformLoss(parse("2"), parse("t")), 1.0)
     with pytest.raises(LossModelError, match="non-negative"):
-        evaluate_loss(UniformLoss(parse("t-9"), parse("t")), 1.0)
+        evaluate_entry(UniformLoss(parse("t-9"), parse("t")), 1.0)
 
 
 def test_normal_band_endpoints():
     spec = NormalBandLoss(parse("(3*t+2)/2"), parse("(t+2)/2"), n=1)
-    assert evaluate_loss(spec, 1.0) == Band(1.0, 4.0)
+    assert evaluate_entry(spec, 1.0) == Entry(1.0, 2.5, 4.0)
     wide = NormalBandLoss(parse("10"), parse("2"), n=3)
-    assert evaluate_loss(wide, 0.0) == Band(4.0, 16.0)
-    assert central_at(wide, 0.0) == 10.0
+    assert evaluate_entry(wide, 0.0) == Entry(4.0, 10.0, 16.0)
 
 
 def test_normal_band_width_scales_with_n():
     for n in (1, 2, 3):
         spec = NormalBandLoss(parse("10"), parse("1"), n=n)
-        band = evaluate_loss(spec, 0.0)
+        band = evaluate_entry(spec, 0.0)
         assert band.hi - band.lo == pytest.approx(2 * n)
 
 
@@ -81,18 +82,18 @@ def test_normal_band_rejects_bad_shapes():
     with pytest.raises(ValueError, match="n must be"):
         NormalBandLoss(parse("1"), parse("1"), n=4)
     with pytest.raises(LossModelError, match="sigma"):
-        evaluate_loss(NormalBandLoss(parse("5"), parse("0-1"), n=1), 0.0)
+        evaluate_entry(NormalBandLoss(parse("5"), parse("0-1"), n=1), 0.0)
     with pytest.raises(LossModelError, match="below zero"):
-        evaluate_loss(NormalBandLoss(parse("1"), parse("1"), n=2), 0.0)
+        evaluate_entry(NormalBandLoss(parse("1"), parse("1"), n=2), 0.0)
 
 
 def test_interval_band_and_errors():
     spec = IntervalLoss(parse("t"), parse("2*t+2"))
-    assert evaluate_loss(spec, 2.0) == Band(2.0, 6.0)
+    assert evaluate_entry(spec, 2.0) == Entry(2.0, 4.0, 6.0)
     with pytest.raises(LossModelError, match="inverted"):
-        evaluate_loss(IntervalLoss(parse("2"), parse("t")), 1.0)
+        evaluate_entry(IntervalLoss(parse("2"), parse("t")), 1.0)
     with pytest.raises(LossModelError, match="non-negative"):
-        evaluate_loss(IntervalLoss(parse("t-9"), parse("t")), 1.0)
+        evaluate_entry(IntervalLoss(parse("t-9"), parse("t")), 1.0)
 
 
 def test_fuzzy_cut_hull_matches_closed_form():
@@ -100,7 +101,8 @@ def test_fuzzy_cut_hull_matches_closed_form():
     spec = FuzzyLoss(elements, parse("1-1/(2*t)"))
     for t in (1.0, 2.0, 5.0):
         expected = {parse(v)(t) for v in FUZZY_NUMBER_CUT}
-        assert evaluate_loss(spec, t) == Band(min(expected), max(expected))
+        entry = evaluate_entry(spec, t)
+        assert (entry.lo, entry.hi) == (min(expected), max(expected))
 
 
 def test_fuzzy_cut_and_strong_cut_membership():
@@ -136,20 +138,20 @@ def test_cut_set_validates_levels_and_memberships():
 def test_fuzzy_empty_cut_is_an_error():
     spec = FuzzyLoss([FuzzyElement(parse("3"), parse("0.1"))], parse("0.5"))
     with pytest.raises(LossModelError, match="empty cut"):
-        evaluate_loss(spec, 1.0)
+        evaluate_entry(spec, 1.0)
 
 
 def test_fuzzy_eta_outside_unit_interval_is_an_error():
     spec = FuzzyLoss([FuzzyElement(parse("3"), parse("1"))], parse("2"))
     with pytest.raises(LossModelError, match="cut level"):
-        evaluate_loss(spec, 1.0)
+        evaluate_entry(spec, 1.0)
 
 
 def test_fuzzy_strong_cut_of_demo_matrix_is_empty():
     # every element at the top membership tier sits exactly at eta
     matrix = fuzzy_demo_matrix(strong=True)
     with pytest.raises(LossModelError, match="empty cut"):
-        evaluate_loss(matrix.pp, 1.0)
+        evaluate_entry(matrix.pp, 1.0)
 
 
 def test_fuzzy_loss_requires_elements():
@@ -179,30 +181,29 @@ def test_matrix_entries_order_and_family():
 
 def test_band_and_scalar_invariants():
     with pytest.raises(LossModelError):
-        Scalar(-0.5)
+        evaluate_entry(PointLoss(parse("-0.5")), 0.0)
     with pytest.raises(LossModelError):
-        Band(-1.0, 2.0)
+        evaluate_entry(IntervalLoss(parse("-1"), parse("2")), 0.0)
     with pytest.raises(LossModelError):
-        Band(3.0, 2.0)
+        evaluate_entry(IntervalLoss(parse("3"), parse("2")), 0.0)
 
 
 def test_bounds_at_repeats_scalars():
-    assert bounds_at(PointLoss(parse("4")), 0.0) == (4.0, 4.0)
-    assert bounds_at(IntervalLoss(parse("1"), parse("3")), 0.0) == (1.0, 3.0)
+    assert evaluate_entry(PointLoss(parse("4")), 0.0) == Entry(4.0, 4.0, 4.0)
+    entry = evaluate_entry(IntervalLoss(parse("1"), parse("3")), 0.0)
+    assert (entry.lo, entry.hi) == (1.0, 3.0)
 
 
 def test_central_at_uses_band_midpoint():
-    assert central_at(IntervalLoss(parse("1"), parse("3")), 0.0) == 2.0
+    assert evaluate_entry(IntervalLoss(parse("1"), parse("3")), 0.0).central == 2.0
 
 
 def test_ordering_ok_for_demo_matrices():
     t = 1.0
-    assert validate_ordering(uniform_demo_matrix(), t, OrderingMode.LOWER).ok
-    assert validate_ordering(uniform_demo_matrix(), t, OrderingMode.UPPER).ok
-    assert validate_ordering(normal_demo_matrix(), t, OrderingMode.CENTRAL).ok
-    report = validate_ordering(interval_demo_matrix(), t, OrderingMode.INTERLEAVED)
-    assert report.ok
-    assert report.first is None
+    assert _violations(uniform_demo_matrix(), t, OrderingMode.LOWER) == []
+    assert _violations(uniform_demo_matrix(), t, OrderingMode.UPPER) == []
+    assert _violations(normal_demo_matrix(), t, OrderingMode.CENTRAL) == []
+    assert _violations(interval_demo_matrix(), t, OrderingMode.INTERLEAVED) == []
 
 
 def test_ordering_violation_names_constraint():
@@ -214,9 +215,9 @@ def test_ordering_violation_names_constraint():
         ("3*t+2", "3*t+6"),
         ("4*t+8", "4*t+10"),
     )
-    report = validate_ordering(swapped, 1.0, OrderingMode.LOWER)
-    assert not report.ok
-    first = report.first
+    violations = _violations(swapped, 1.0, OrderingMode.LOWER)
+    assert violations
+    first = violations[0]
     assert first.constraint == "lower(pp) <= lower(bp)"
     assert first.lhs == 9.0
     assert first.rhs == 5.0
@@ -232,15 +233,14 @@ def test_interleaved_rejects_overlapping_bands():
         ("2", "3"),
         ("4", "5"),
     )
-    report = validate_ordering(overlapping, 0.0, OrderingMode.INTERLEAVED)
-    assert [v.constraint for v in report.violations] == ["upper(pp) <= lower(bp)"]
-    assert report.first.lhs == 5.0
-    assert report.first.rhs == 4.0
+    violations = _violations(overlapping, 0.0, OrderingMode.INTERLEAVED)
+    assert [v.constraint for v in violations] == ["upper(pp) <= lower(bp)"]
+    assert violations[0].lhs == 5.0
+    assert violations[0].rhs == 4.0
 
 
 def test_central_ordering_violation_on_point_matrix():
     matrix = point_matrix("t", "1", "5", "0", "1", "5")
-    assert validate_ordering(matrix, 1.0, OrderingMode.CENTRAL).ok
-    report = validate_ordering(matrix, 2.0, OrderingMode.CENTRAL)
-    assert not report.ok
-    assert report.first.constraint == "central(pp) <= central(bp)"
+    assert _violations(matrix, 1.0, OrderingMode.CENTRAL) == []
+    violations = _violations(matrix, 2.0, OrderingMode.CENTRAL)
+    assert violations[0].constraint == "central(pp) <= central(bp)"

@@ -114,13 +114,13 @@ def test_concept_collects_positive_objects():
 def test_conditional_probability_counts():
     block = frozenset({"o1", "o2", "o6"})
     assert conditional_probability(SYSTEM.concept, block) == pytest.approx(2 / 3)
-    assert conditional_probability(SYSTEM.concept, frozenset({"o4"})) == 0.0
+    assert conditional_probability(SYSTEM.concept, frozenset({"o4"})) == 0
 
 
 def test_conditional_probability_matches_exact_ratio():
     block = frozenset({"o1", "o2", "o6"})
     p = conditional_probability(SYSTEM.concept, block)
-    assert p == float(Fraction(2, 3))
+    assert p == Fraction(2, 3)
 
 
 def test_conditional_probability_rejects_empty_block():
@@ -151,9 +151,10 @@ def test_system_validation():
 
 
 def test_value_lookup():
-    assert SYSTEM.value("o3", "size") == "large"
-    with pytest.raises(ValueError, match="o99"):
-        SYSTEM.value("o99", "size")
+    row = dict(zip(SYSTEM.objects, SYSTEM.rows))["o3"]
+    assert row[SYSTEM.attribute_index("size")] == "large"
+    with pytest.raises(ValueError, match="weight"):
+        SYSTEM.attribute_index("weight")
 
 
 @pytest.mark.parametrize(

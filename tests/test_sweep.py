@@ -49,7 +49,7 @@ def test_load_dataset_happy_path(demo_system):
     assert len(demo_system.objects) == 17
     assert demo_system.objects[0] == "o1"
     assert demo_system.attributes == ("shade", "approved")
-    assert demo_system.value("o1", "shade") == "a"
+    assert demo_system.rows[0] == ("a", "yes")
     assert len(demo_system.concept) == 10
 
 

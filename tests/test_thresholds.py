@@ -10,20 +10,16 @@ from hypothesis import given, strategies as st
 
 from threeway import (
     BandPair,
+    ConfigError,
     DegenerateMatrixError,
     OrderingViolationError,
     PointPair,
+    RunConfig,
     ThresholdError,
-    fuzzy_threshold_bounds,
-    fuzzy_thresholds,
-    interval_threshold_bounds,
-    interval_thresholds,
-    normal_band_extremes,
-    normal_band_thresholds,
-    normal_special_thresholds,
+    band_extremes,
+    evaluate_matrix,
     parse,
     point_thresholds,
-    uniform_thresholds,
 )
 
 from helpers import (
@@ -41,15 +37,24 @@ from helpers import (
     fuzzy_demo_matrix,
     interval_demo_matrix,
     interval_matrix,
+    interval_config,
     interval_matrix_const,
+    matrix_thresholds,
     normal_demo_matrix,
     normal_matrix,
     random_interval_bounds,
     random_normal_pairs,
     random_scalar_chain,
+    uniform_config,
     uniform_demo_matrix,
     uniform_matrix,
 )
+
+
+def _edge_thresholds(matrix, t: float, side: str) -> PointPair:
+    """Point thresholds from every entry's lower (or upper) edge at ``t``."""
+
+    return point_thresholds(*(getattr(e, side) for e in evaluate_matrix(matrix, t)))
 
 
 def test_point_thresholds_worked_example():
@@ -140,20 +145,20 @@ def test_uniform_demo_closed_forms():
     alpha = parse(UNIFORM_ALPHA)
     beta = parse(UNIFORM_BETA)
     for t in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
-        pair = uniform_thresholds(matrix, t)
+        pair = matrix_thresholds(matrix, t)
         assert pair.alpha == pytest.approx(alpha(t), abs=TOL)
         assert pair.beta == pytest.approx(beta(t), abs=TOL)
 
 
 def test_uniform_demo_goes_degenerate_for_large_t():
-    pair = uniform_thresholds(uniform_demo_matrix(), 5.0)
+    pair = matrix_thresholds(uniform_demo_matrix(), 5.0)
     assert pair.beta > pair.alpha   # reported, not raised
 
 
 def test_uniform_equals_point_on_collapsed_entries():
     values = ("0", "3", "7", "1", "4", "9")
     collapsed = uniform_matrix(*((v, v) for v in values))
-    pair = uniform_thresholds(collapsed, 2.0)
+    pair = matrix_thresholds(collapsed, 2.0)
     point = point_thresholds(*(float(v) for v in values))
     assert pair == point
 
@@ -168,13 +173,15 @@ def test_uniform_requires_both_endpoint_chains():
         ("4", "5"),
     )
     with pytest.raises(OrderingViolationError) as err:
-        uniform_thresholds(bad, 0.0)
+        matrix_thresholds(bad, 0.0)
     assert "upper(pp) <= upper(bp)" in str(err.value)
 
 
 def test_uniform_rejects_other_families():
-    with pytest.raises(TypeError):
-        uniform_thresholds(interval_demo_matrix(), 1.0)
+    config = uniform_config()
+    config["loss_matrix"]["bn"] = {"interval": {"lo": "1", "hi": "2"}}
+    with pytest.raises(ConfigError, match="variant 'interval' but loss_family"):
+        RunConfig.from_dict(config)
 
 
 def test_normal_band_extremes_closed_forms():
@@ -186,32 +193,30 @@ def test_normal_band_extremes_closed_forms():
         parse(NORMAL_BETA_HI),
     ]
     for t in (1.0, 2.0, 5.0):
-        raw = normal_band_extremes(matrix, t)
+        raw = band_extremes(evaluate_matrix(matrix, t))
         for got, form in zip(raw, forms):
             assert got == pytest.approx(form(t), abs=TOL)
 
 
 def test_normal_band_thresholds_clamp_to_unit_interval():
-    band = normal_band_thresholds(normal_demo_matrix(), 1.0)
+    band = matrix_thresholds(normal_demo_matrix(), 1.0, "band")
     assert band == BandPair(0.1875, 1.0, 1 / 14, 1.0)
 
 
 def test_normal_special_thresholds():
     matrix = normal_demo_matrix()
-    assert normal_special_thresholds(matrix, 1.0, which=1) == PointPair(0.6, 0.5)
-    assert normal_special_thresholds(matrix, 1.0, which=2) == PointPair(0.6, 0.5)
-    with pytest.raises(ValueError):
-        normal_special_thresholds(matrix, 1.0, which=3)
+    assert _edge_thresholds(matrix, 1.0, "lo") == PointPair(0.6, 0.5)
+    assert _edge_thresholds(matrix, 1.0, "hi") == PointPair(0.6, 0.5)
 
 
 def test_normal_zero_spread_collapses_to_point_thresholds():
     mus = ("2.5", "6.5", "10.5", "2.5", "6.5", "12.5")
     matrix = normal_matrix([(mu, "0") for mu in mus], n=1)
-    band = normal_band_thresholds(matrix, 1.0)
+    band = matrix_thresholds(matrix, 1.0, "band")
     point = point_thresholds(*(float(mu) for mu in mus))
     assert band == BandPair(point.alpha, point.alpha, point.beta, point.beta)
-    assert normal_special_thresholds(matrix, 1.0, which=1) == point
-    assert normal_special_thresholds(matrix, 1.0, which=2) == point
+    assert _edge_thresholds(matrix, 1.0, "lo") == point
+    assert _edge_thresholds(matrix, 1.0, "hi") == point
 
 
 def test_normal_specials_lie_inside_clamped_band():
@@ -220,9 +225,9 @@ def test_normal_specials_lie_inside_clamped_band():
         n = rng.choice([1, 2, 3])
         matrix = normal_matrix(random_normal_pairs(rng, n), n=n)
         for t in (1.0, 2.0, 5.0):
-            band = normal_band_thresholds(matrix, t)
-            for which in (1, 2):
-                pair = normal_special_thresholds(matrix, t, which)
+            band = matrix_thresholds(matrix, t, "band")
+            for side in ("lo", "hi"):
+                pair = _edge_thresholds(matrix, t, side)
                 assert band.alpha_lo - TOL <= pair.alpha <= band.alpha_hi + TOL
                 assert band.beta_lo - TOL <= pair.beta <= band.beta_hi + TOL
 
@@ -235,22 +240,22 @@ def test_interval_closed_forms():
     }
     for mode, (alpha, beta) in forms.items():
         for t in (0.0, 1.0, 2.0, 5.0, 10.0):
-            pair = interval_thresholds(matrix, t, mode)
+            pair = matrix_thresholds(matrix, t, mode)
             assert pair.alpha == pytest.approx(alpha(t), abs=TOL)
             assert pair.beta == pytest.approx(beta(t), abs=TOL)
 
 
 def test_interval_band_at_unit_time():
-    band = interval_threshold_bounds(interval_demo_matrix(), 1.0)
+    band = matrix_thresholds(interval_demo_matrix(), 1.0, "band")
     assert band == BandPair(0.2, 1.0, 1 / 13, 1.0)
 
 
 def test_interval_band_contains_one_sided_pairs():
     matrix = interval_demo_matrix()
     for t in (0.0, 1.0, 3.0, 8.0):
-        band = interval_threshold_bounds(matrix, t)
+        band = matrix_thresholds(matrix, t, "band")
         for mode in ("optimistic", "pessimistic"):
-            pair = interval_thresholds(matrix, t, mode)
+            pair = matrix_thresholds(matrix, t, mode)
             assert band.alpha_lo - TOL <= pair.alpha <= band.alpha_hi + TOL
             assert band.beta_lo - TOL <= pair.beta <= band.beta_hi + TOL
 
@@ -260,7 +265,7 @@ def test_interval_band_contains_interior_selections():
     for _ in range(10):
         bounds = random_interval_bounds(rng)
         matrix = interval_matrix_const(bounds)
-        band = interval_threshold_bounds(matrix, 0.0)
+        band = matrix_thresholds(matrix, 0.0, "band")
         for _ in range(200):
             picks = [rng.uniform(lo, hi) for lo, hi in bounds]
             pair = point_thresholds(*picks)
@@ -269,8 +274,8 @@ def test_interval_band_contains_interior_selections():
 
 
 def test_interval_modes_are_validated():
-    with pytest.raises(ValueError, match="mode"):
-        interval_thresholds(interval_demo_matrix(), 1.0, "middle")
+    with pytest.raises(ConfigError, match="mode"):
+        RunConfig.from_dict(interval_config("middle"))
 
 
 def test_interval_band_requires_interleaved_chains():
@@ -283,7 +288,7 @@ def test_interval_band_requires_interleaved_chains():
         ("4", "5"),
     )
     with pytest.raises(OrderingViolationError):
-        interval_threshold_bounds(overlapping, 0.0)
+        matrix_thresholds(overlapping, 0.0, "band")
 
 
 def test_interval_one_sided_ordering_checks():
@@ -296,8 +301,8 @@ def test_interval_one_sided_ordering_checks():
         ("4", "5"),
     )
     with pytest.raises(OrderingViolationError):
-        interval_thresholds(bad_lower, 0.0, "optimistic")
-    pair = interval_thresholds(bad_lower, 0.0, "pessimistic")
+        matrix_thresholds(bad_lower, 0.0, "optimistic")
+    pair = matrix_thresholds(bad_lower, 0.0, "pessimistic")
     assert 0 <= pair.beta and pair.alpha <= 1
 
 
@@ -306,16 +311,16 @@ def test_fuzzy_matches_interval_after_cut():
     interval = interval_demo_matrix()
     for t in (1.0, 2.0, 5.0):
         for mode in ("optimistic", "pessimistic"):
-            assert fuzzy_thresholds(fuzzy, t, mode) == interval_thresholds(
+            assert matrix_thresholds(fuzzy, t, mode) == matrix_thresholds(
                 interval, t, mode
             )
-        assert fuzzy_threshold_bounds(fuzzy, t) == interval_threshold_bounds(
-            interval, t
+        assert matrix_thresholds(fuzzy, t, "band") == matrix_thresholds(
+            interval, t, "band"
         )
 
 
 def test_fuzzy_band_at_unit_time():
-    assert fuzzy_threshold_bounds(fuzzy_demo_matrix(), 1.0) == BandPair(
+    assert matrix_thresholds(fuzzy_demo_matrix(), 1.0, "band") == BandPair(
         0.2, 1.0, 1 / 13, 1.0
     )
 
