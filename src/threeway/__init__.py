@@ -47,6 +47,7 @@ from .rough import (
     partition,
 )
 from .sweep import (
+    BlockLayout,
     DatasetError,
     StrictSweepError,
     SweepRow,
@@ -72,6 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BandPair",
     "BinOp",
+    "BlockLayout",
     "ConfigError",
     "Const",
     "DatasetError",

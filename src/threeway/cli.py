@@ -103,10 +103,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    points = config.time_grid.points()
-    endpoints = [points[0]] if len(points) == 1 else [points[0], points[-1]]
+    grid = config.time_grid
+    last = grid.count - 1
+    endpoints = (0,) if last == 0 else (0, last)
     problems: list[str] = []
-    for t in endpoints:
+    for t in map(grid.point, endpoints):
         try:
             problems.extend(check_ordering(config, t))
         except _PER_T_FAILURES as exc:

@@ -37,6 +37,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 from .expr import ExprSyntaxError, TimeExpr, parse
 from .losses import (
@@ -93,8 +94,9 @@ class TimeGrid:
                 "time_grid is too long: (stop - start) / step overflows a float"
             )
 
-    def points(self) -> list[float]:
-        """Grid values start + k*step, closed on both ends.
+    @property
+    def count(self) -> int:
+        """Number of grid values, closed on both ends.
 
         ``stop`` itself is included when (stop - start) / step is within
         1e-9 of an integer.
@@ -103,11 +105,24 @@ class TimeGrid:
         span = (self.stop - self.start) / self.step
         nearest = round(span)
         if abs(span - nearest) <= GRID_ENDPOINT_TOL:
-            count = int(nearest)
-        else:
-            count = int(math.floor(span))
+            return int(nearest) + 1
+        return int(math.floor(span)) + 1
+
+    def point(self, k: int) -> float:
+        """Grid value ``k`` (0 <= k < count): start + k*step."""
+
         # coerce so integer-valued JSON grids still sweep float t
-        return [float(self.start + k * self.step) for k in range(count + 1)]
+        return float(self.start + k * self.step)
+
+    def __iter__(self) -> Iterator[float]:
+        """The grid values in order, produced one at a time."""
+
+        return map(self.point, range(self.count))
+
+    def points(self) -> list[float]:
+        """Every grid value, as a list."""
+
+        return list(self)
 
 
 @dataclass(frozen=True)

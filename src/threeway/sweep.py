@@ -2,10 +2,15 @@
 
 A sweep walks the configured time grid.  At each grid value it checks
 the family-appropriate loss orderings, computes thresholds, and (for
-point-valued modes) assigns every object to POS, BND, or NEG via its
-block's concept probability.  Each assignment is cross-checked against
-the minimum-expected-risk rule; the two must agree by construction, so
-a mismatch raises immediately.
+point-valued modes) decides a region, POS, BND, or NEG, for every
+indiscernibility block from the block's concept probability.  A region
+depends only on that probability and the losses, so the decision, and
+its cross-check against the minimum-expected-risk rule, runs once per
+distinct block probability; the two rules must agree by construction,
+so a mismatch raises immediately.  A row keeps one region per block
+plus a layout shared by the whole sweep (objects in file order, their
+blocks, block sizes and probabilities); ``SweepRow.assignments``
+expands it to per-object records only when read.
 
 Threshold and classification arithmetic runs on exact rationals built
 from the evaluated losses, which makes the cross-check and all boundary
@@ -21,14 +26,20 @@ significant digits:
   (omitted for band-mode and degenerate time points);
 * ``summary.txt``     -- per-t region counts, degenerate time points,
   and ordering/evaluation errors.
+
+``regions.csv`` is streamed one grid value at a time, and the summary
+tallies come from block sizes, so memory grows as O(N + T*B) for N
+objects, T grid values and B blocks, never as O(N*T).
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import RunConfig
@@ -55,6 +66,7 @@ from .thresholds import (
 )
 
 __all__ = [
+    "BlockLayout",
     "DatasetError",
     "StrictSweepError",
     "SweepRow",
@@ -82,19 +94,75 @@ class StrictSweepError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class BlockLayout:
+    """How a sweep's objects map onto its indiscernibility blocks.
+
+    One layout is shared by every row of a sweep.  ``objects``,
+    ``block_of`` (each object's block index) and ``pieces`` (each
+    object's ``,object_id,`` text in ``regions.csv``) follow dataset
+    order; ``sizes``, ``probabilities`` and ``texts`` (the probability
+    as printed) are per block, in partition order.
+    """
+
+    objects: tuple[str, ...]
+    block_of: tuple[int, ...]
+    pieces: tuple[str, ...]
+    sizes: tuple[int, ...]
+    probabilities: tuple[float, ...]
+    texts: tuple[str, ...]
+
+
+@dataclass(frozen=True)
 class SweepRow:
     """Outcome at one grid value.
 
     ``status`` is ``ok``, ``degenerate`` (point thresholds computed but
     beta > alpha, so no assignments), or ``error`` (ordering violation
-    or evaluation failure; see ``message``).
+    or evaluation failure; see ``message``).  A decided point-mode row
+    holds one region per block in ``regions`` plus the sweep's shared
+    ``layout``; every other row has empty ``regions``.
     """
 
     t: float
     status: str
     thresholds: ThresholdResult | None
-    assignments: tuple[RegionAssignment, ...]
+    regions: tuple[Region, ...] = ()
+    layout: BlockLayout | None = field(default=None, repr=False)
     message: str | None = None
+
+    @property
+    def assignments(self) -> Sequence[RegionAssignment]:
+        """One assignment per object in dataset order (empty unless the
+        row is decided), each built only when indexed or iterated."""
+
+        if not self.regions:
+            return ()
+        return _Assignments(self.layout, self.regions)
+
+
+class _Assignments(Sequence):
+    """Read-only view of a decided row's per-object assignments."""
+
+    __slots__ = ("_layout", "_regions")
+
+    def __init__(self, layout: BlockLayout, regions: tuple[Region, ...]):
+        self._layout = layout
+        self._regions = regions
+
+    def __len__(self) -> int:
+        return len(self._layout.objects)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        layout = self._layout
+        block = layout.block_of[index]
+        return RegionAssignment(
+            layout.objects[index], layout.probabilities[block], self._regions[block]
+        )
+
+    def __iter__(self) -> Iterator[RegionAssignment]:
+        return map(self.__getitem__, range(len(self)))
 
 
 def load_dataset(path: str, decision_attr: str, positive_value: str) -> InformationSystem:
@@ -235,24 +303,34 @@ def run_sweep(
     except ValueError as exc:
         raise DatasetError(str(exc)) from None
     concept = system.concept
-    block_probability = [
-        conditional_probability(concept, block) for block in blocks.blocks
-    ]
+    exact = [conditional_probability(concept, block) for block in blocks.blocks]
+    slot: dict[Fraction, int] = {}
+    slot_of_block = [slot.setdefault(p, len(slot)) for p in exact]
+    distinct = list(slot)
     block_of = {
         obj: index for index, block in enumerate(blocks.blocks) for obj in block
     }
+    probabilities = tuple(float(p) for p in exact)
+    layout = BlockLayout(
+        objects=system.objects,
+        block_of=tuple(block_of[obj] for obj in system.objects),
+        pieces=tuple(f",{obj}," for obj in system.objects),
+        sizes=tuple(len(block) for block in blocks.blocks),
+        probabilities=probabilities,
+        texts=tuple(map(_fmt, probabilities)),
+    )
 
     rows: list[SweepRow] = []
-    for t in config.time_grid.points():
+    for t in config.time_grid:
         try:
             result, pair, scalars = _evaluate_at(config, t)
         except _PER_T_ERRORS as exc:
             if strict:
                 raise StrictSweepError(t, str(exc)) from exc
-            rows.append(SweepRow(t, "error", None, (), str(exc)))
+            rows.append(SweepRow(t, "error", None, message=str(exc)))
             continue
         if pair is None:
-            rows.append(SweepRow(t, "ok", result, ()))
+            rows.append(SweepRow(t, "ok", result))
             continue
         if pair.beta > pair.alpha:
             if strict:
@@ -260,11 +338,12 @@ def run_sweep(
                     t,
                     f"beta ({float(pair.beta)!r}) exceeds alpha ({float(pair.alpha)!r})",
                 )
-            rows.append(SweepRow(t, "degenerate", result, ()))
+            rows.append(SweepRow(t, "degenerate", result))
             continue
-        assignments = []
-        region_of_block: dict[int, Region] = {}
-        for index, p in enumerate(block_probability):
+        # both rules are pure functions of (p, losses): one check per
+        # distinct probability covers every block that has it
+        decided = []
+        for p in distinct:
             region = classify(p, pair.alpha, pair.beta)
             check = min_risk_region(p, *scalars)
             if check is not region:
@@ -272,15 +351,9 @@ def run_sweep(
                     f"threshold rule and risk rule disagree at t={t!r}, "
                     f"p={p!r}: {region.value} vs {check.value}"
                 )
-            region_of_block[index] = region
-        for obj in system.objects:
-            index = block_of[obj]
-            assignments.append(
-                RegionAssignment(
-                    obj, float(block_probability[index]), region_of_block[index]
-                )
-            )
-        rows.append(SweepRow(t, "ok", result, tuple(assignments)))
+            decided.append(region)
+        regions = tuple(map(decided.__getitem__, slot_of_block))
+        rows.append(SweepRow(t, "ok", result, regions, layout))
     return rows
 
 
@@ -318,20 +391,13 @@ def emit_outputs(rows: list[SweepRow], out_dir: str) -> None:
             lines.append(",".join((_fmt(row.t),) + _threshold_columns(row.thresholds)))
     _write_lines(os.path.join(out_dir, "thresholds.csv"), lines)
 
-    lines = ["t,object_id,probability,region"]
-    for row in ordered:
-        for assignment in row.assignments:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(row.t),
-                        assignment.object_id,
-                        _fmt(assignment.probability),
-                        assignment.region.value,
-                    )
-                )
-            )
-    _write_lines(os.path.join(out_dir, "regions.csv"), lines)
+    with open(
+        os.path.join(out_dir, "regions.csv"), "w", encoding="utf-8", newline="\n"
+    ) as handle:
+        handle.write("t,object_id,probability,region\n")
+        for row in ordered:
+            if row.regions:
+                handle.write(_region_lines(row))
 
     counts = {status: 0 for status in ("ok", "degenerate", "error")}
     for row in ordered:
@@ -347,12 +413,12 @@ def emit_outputs(rows: list[SweepRow], out_dir: str) -> None:
             lines.append(f"  t={_fmt(row.t)}: error")
         elif row.status == "degenerate":
             lines.append(f"  t={_fmt(row.t)}: degenerate (beta > alpha)")
-        elif not row.assignments:
+        elif not row.regions:
             lines.append(f"  t={_fmt(row.t)}: thresholds only (band mode)")
         else:
             tally = {region: 0 for region in Region}
-            for assignment in row.assignments:
-                tally[assignment.region] += 1
+            for size, region in zip(row.layout.sizes, row.regions):
+                tally[region] += size
             lines.append(
                 f"  t={_fmt(row.t)}: "
                 f"POS={tally[Region.POS]} BND={tally[Region.BND]} NEG={tally[Region.NEG]}"
@@ -370,6 +436,20 @@ def emit_outputs(rows: list[SweepRow], out_dir: str) -> None:
     else:
         lines.append("ordering violations / evaluation errors: none")
     _write_lines(os.path.join(out_dir, "summary.txt"), lines)
+
+
+def _region_lines(row: SweepRow) -> str:
+    """The ``t,object_id,probability,region`` lines of one decided row."""
+
+    layout = row.layout
+    t = _fmt(row.t)
+    cells = [
+        f"{text},{region.value}\n" for text, region in zip(layout.texts, row.regions)
+    ]
+    # t + t.join(...) puts t in front of every object's ",id,p,region\n"
+    return t + t.join(
+        map(operator.add, layout.pieces, map(cells.__getitem__, layout.block_of))
+    )
 
 
 def _write_lines(path: str, lines: list[str]) -> None:

@@ -1,9 +1,13 @@
-"""End-to-end CLI behavior, run in process through main()."""
+"""End-to-end CLI behavior, run in process through main() (one test runs a
+memory-capped child process)."""
 
 from __future__ import annotations
 
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -142,6 +146,44 @@ def test_validate_reports_endpoint_evaluation_failure(tmp_path, capsys):
     config_path = write_run_files(str(tmp_path), config)
     assert main(["validate", "--config", config_path]) == 1
     assert "evaluation failure at t=2.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pn,code,stream,expected",
+    [
+        ("20", 0, "stdout", "config ok"),
+        (
+            "20+1/(t-1000000000000)",
+            1,
+            "stderr",
+            "config error: evaluation failure at t=1000000000000.0: ",
+        ),
+    ],
+    ids=["ok", "failing-stop"],
+)
+def test_validate_huge_grid_reads_only_its_endpoints(tmp_path, pn, code, stream, expected):
+    # a child process with capped memory and time, so building the
+    # 10**12 grid points would fail this test instead of the machine
+    config = point_config(["0", "6", "13", "0", "8", pn])
+    config["time_grid"] = {"start": 0, "stop": 1e12, "step": 1}
+    config_path = write_run_files(str(tmp_path), config)
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "threeway.cli", "validate", "--config", config_path],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert getattr(proc, stream).startswith(expected)
 
 
 def test_validate_single_point_grid(tmp_path, capsys):

@@ -218,6 +218,16 @@ def test_grid_includes_stop_within_tolerance():
     assert points[-1] == pytest.approx(0.3)
 
 
+def test_grid_point_count_and_values_agree_with_points():
+    for grid in (TimeGrid(0, 10, 1), TimeGrid(0, 1, 0.3), TimeGrid(0, 0.3, 0.1)):
+        assert grid.points() == [grid.point(k) for k in range(grid.count)]
+        assert list(grid) == grid.points()
+    # neither count nor point builds the grid, so a huge one costs nothing
+    huge = TimeGrid(0, 1e12, 1)
+    assert huge.count == 10**12 + 1
+    assert huge.point(huge.count - 1) == 1e12
+
+
 def test_grid_rejects_non_finite():
     with pytest.raises(ConfigError, match="finite"):
         TimeGrid(0, float("inf"), 1)

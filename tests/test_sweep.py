@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import threeway.sweep as sweep
 from threeway import (
     BandPair,
     DatasetError,
@@ -15,6 +18,8 @@ from threeway import (
     RunConfig,
     StrictSweepError,
     check_ordering,
+    classify,
+    conditional_probability,
     emit_outputs,
     load_dataset,
     parse,
@@ -103,6 +108,8 @@ def test_uniform_sweep_assignments_at_unit_time(demo_system):
     row = rows[1]
     assert len(row.assignments) == 17
     assert row.assignments[0] == RegionAssignment("o1", 0.75, Region.POS)
+    assert row.assignments[-1] == RegionAssignment("o17", 0.6, Region.BND)
+    assert row.assignments[:2] == (row.assignments[0], row.assignments[1])
 
     by_region = {region: 0 for region in Region}
     for assignment in row.assignments:
@@ -263,3 +270,116 @@ def test_run_sweep_missing_dataset_file():
     config["dataset_path"] = os.path.join(os.sep, "nonexistent", "data.csv")
     with pytest.raises(DatasetError, match="cannot read"):
         run_sweep(_config(config))
+
+
+# Blocks whose objects interleave in file order; a, b and c share p = 3/4.
+SHARED_BLOCKS = (
+    ("a", 4, 3),
+    ("b", 4, 3),
+    ("c", 8, 6),
+    ("d", 5, 1),
+    ("e", 5, 3),
+    ("f", 2, 0),
+    ("g", 1, 1),
+)
+SHARED_DISTINCT = {Fraction(positives, size) for _, size, positives in SHARED_BLOCKS}
+
+
+@pytest.fixture()
+def shared_system(tmp_path):
+    queues = [
+        [(shade, k < positives) for k in range(size)]
+        for shade, size, positives in SHARED_BLOCKS
+    ]
+    lines = ["id,shade,approved"]
+    while any(queues):
+        for queue in queues:
+            if queue:
+                shade, positive = queue.pop(0)
+                lines.append(f"x{len(lines)},{shade},{'yes' if positive else 'no'}")
+    return _load_text(tmp_path, "\n".join(lines) + "\n")
+
+
+def _shared_config() -> RunConfig:
+    """Uniform demo: ok at t = 0, 0.5, 1.5, 2, an evaluation error at
+    t = 1, and degenerate from t = 2.5 on."""
+
+    config = uniform_config()
+    config["loss_matrix"]["pn"]["uniform"]["b"] = "4*t+20+0/(t-1)"
+    config["time_grid"] = {"start": 0, "stop": 4, "step": 0.5}
+    return _config(config)
+
+
+def test_risk_cross_check_runs_once_per_distinct_probability(shared_system, monkeypatch):
+    seen = []
+    real = sweep.min_risk_region
+
+    def counting(p, *losses):
+        seen.append(p)
+        return real(p, *losses)
+
+    monkeypatch.setattr(sweep, "min_risk_region", counting)
+    rows = run_sweep(_shared_config(), system=shared_system)
+    decided = sum(row.status == "ok" for row in rows)
+    assert decided == 4
+    assert len(seen) == len(SHARED_DISTINCT) * decided
+    assert Counter(seen) == {p: decided for p in SHARED_DISTINCT}
+
+
+@pytest.mark.parametrize("wrong_at", sorted(SHARED_DISTINCT), ids=str)
+def test_risk_cross_check_disagreement_raises(shared_system, monkeypatch, wrong_at):
+    real = sweep.min_risk_region
+    other = {Region.POS: Region.NEG, Region.NEG: Region.BND, Region.BND: Region.POS}
+
+    def wrong(p, *losses):
+        region = real(p, *losses)
+        return other[region] if p == wrong_at else region
+
+    monkeypatch.setattr(sweep, "min_risk_region", wrong)
+    with pytest.raises(RuntimeError, match="threshold rule and risk rule disagree"):
+        run_sweep(_shared_config(), system=shared_system)
+
+
+def test_streamed_regions_match_per_object_expansion(tmp_path, shared_system, monkeypatch):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return RegionAssignment(*args)
+
+    monkeypatch.setattr(sweep, "RegionAssignment", counting)
+    rows = run_sweep(_shared_config(), system=shared_system)
+    emit_outputs(rows, str(tmp_path))
+    assert {row.status for row in rows} == {"ok", "error", "degenerate"}
+    assert sum(len(row.assignments) for row in rows) == 4 * 29
+    assert built == []
+
+    # every object of every decided t, straight from the dataset
+    shade = shared_system.attribute_index("shade")
+    members = {}
+    for obj, values in zip(shared_system.objects, shared_system.rows):
+        members.setdefault(values[shade], set()).add(obj)
+    expected = ["t,object_id,probability,region"]
+    tallies = []
+    for row in rows:
+        if row.status != "ok":
+            continue
+        tally = Counter()
+        for obj, values in zip(shared_system.objects, shared_system.rows):
+            p = conditional_probability(shared_system.concept, members[values[shade]])
+            region = classify(p, row.thresholds.alpha, row.thresholds.beta)
+            expected.append(f"{row.t:.12g},{obj},{float(p):.12g},{region.value}")
+            tally[region.value] += 1
+        tallies.append(
+            f"  t={row.t:.12g}: POS={tally['POS']} BND={tally['BND']} NEG={tally['NEG']}"
+        )
+    assert [values[shade] for values in shared_system.rows[:7]] == list("abcdefg")
+    assert (tmp_path / "regions.csv").read_text(encoding="utf-8") == (
+        "\n".join(expected) + "\n"
+    )
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+    assert [line for line in summary if "POS=" in line] == tallies
+
+    # the rows still expand on access, through the same constructor
+    assert list(rows[0].assignments) == [rows[0].assignments[k] for k in range(29)]
+    assert len(built) == 2 * 29
